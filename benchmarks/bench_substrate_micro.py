@@ -3,9 +3,8 @@
 Not a paper artifact, but the knobs that determine how far the FULL preset
 is from feasible: conv2d forward/backward, a full LeNet training step,
 per-image attack cost, and the fused elementwise chains (the attack
-ascent step and ReLU backward masking) that the fast backend collapses
-into single in-place passes and the compiled backend replays over
-preallocated plan buffers — each measured against its unfused,
+ascent step and ReLU backward masking) collapsed into single in-place
+passes over preallocated buffers — each measured against its unfused,
 temporary-allocating reference expression.
 """
 
@@ -148,8 +147,8 @@ def test_relu_backward_unfused(benchmark, relu_operands):
 
 @pytest.mark.benchmark(group="micro-fused")
 def test_relu_backward_fused(benchmark, relu_operands):
-    # The compiled plan's ReLU kernel: the boolean mask, its float cast
-    # and the masked gradient all land in plan-owned buffers.
+    # In-place ReLU backward: the boolean mask, its float cast and the
+    # masked gradient all land in preallocated buffers.
     x, g = relu_operands
     maskb = np.empty(x.shape, np.bool_)
     mask = np.empty(x.shape, np.float32)
@@ -167,17 +166,17 @@ def test_relu_backward_fused(benchmark, relu_operands):
 
 @pytest.fixture(scope="module")
 def small_batch(batch):
-    # The compiled backend's payoff regime: small batches, where the
-    # per-iteration fixed costs it eliminates (tape construction,
+    # Small batches: the per-iteration fixed costs (tape construction,
     # dispatch, allocation) are the dominant slice of a gradient call.
-    # Large batches are BLAS-bound and replay converges toward 1x there.
+    # Large batches are BLAS-bound.
     x, y = batch
     return x[:8], y[:8]
 
 
-def _frozen_gradient_bench(benchmark, lenet, small_batch, backend_name):
-    # ``Attack.generate`` freezes parameters for the crafting loop; the
-    # compiled backend only captures frozen graphs, so mirror that here.
+@pytest.mark.benchmark(group="micro-fused")
+def test_attack_gradient_eager_fast(benchmark, lenet, small_batch):
+    # End-to-end context for the chains above: one tape-built gradient
+    # call with parameters frozen, as ``Attack.generate`` runs it.
     from repro.attacks.base import logits_and_input_grad
     x, y = small_batch
     lenet.eval()
@@ -185,21 +184,9 @@ def _frozen_gradient_bench(benchmark, lenet, small_batch, backend_name):
     for p in frozen:
         p.requires_grad = False
     try:
-        with backend.use(backend_name):
-            logits_and_input_grad(lenet, x, y)  # warm (traces if compiled)
+        with backend.use("fast"):
+            logits_and_input_grad(lenet, x, y)  # warm the buffer pool
             benchmark(lambda: logits_and_input_grad(lenet, x, y))
     finally:
         for p in frozen:
             p.requires_grad = True
-
-
-@pytest.mark.benchmark(group="micro-fused")
-def test_attack_gradient_eager_fast(benchmark, lenet, small_batch):
-    # End-to-end context for the chains above: one eager tape-built
-    # gradient call vs its compiled replay (next test, same shapes).
-    _frozen_gradient_bench(benchmark, lenet, small_batch, "fast")
-
-
-@pytest.mark.benchmark(group="micro-fused")
-def test_attack_gradient_compiled_replay(benchmark, lenet, small_batch):
-    _frozen_gradient_bench(benchmark, lenet, small_batch, "compiled")

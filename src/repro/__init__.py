@@ -4,7 +4,7 @@ Training Defense for Neural Networks* (Liu, Khalil, Khreishah — DSN 2019).
 Top-level layout (see DESIGN.md for the full inventory):
 
 * :mod:`repro.backend` — pluggable array-backend layer (``ArrayOps``
-  protocol; numpy reference, fast CPU, optional cupy) the whole stack
+  protocol; numpy reference and fast CPU) the whole stack
   dispatches through,
 * :mod:`repro.nn` — autodiff neural-network substrate over the backend
   seam,

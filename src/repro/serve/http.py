@@ -75,6 +75,11 @@ __all__ = ["ApiKeyAuth", "TokenBucket", "RateLimiter",
 #: serialize to JSON as before.
 Reply = Tuple[int, Union[dict, str], Dict[str, str]]
 
+#: Request-body bytes allowed per example of ``max_request_examples``:
+#: room for a 3x32x32 example at ~22 JSON bytes per float, with slack.
+#: A ``Content-Length`` above the resulting cap is refused unread.
+BODY_BYTES_PER_EXAMPLE = 1 << 18
+
 
 # --------------------------------------------------------------------- #
 # authentication
@@ -327,7 +332,8 @@ class HttpFrontend:
         Admission bound on in-flight examples (backpressure knob).
     max_request_examples:
         Largest single request accepted (413 above it) — one client
-        cannot monopolize a whole admission window.
+        cannot monopolize a whole admission window.  It also caps the
+        body size (:attr:`max_body_bytes`).
     predict_timeout_s:
         How long a handler thread waits for its handle before giving
         up with 504 (the handle itself is failed server-side only if
@@ -411,6 +417,33 @@ class HttpFrontend:
         except Exception as error:      # noqa: BLE001 - boundary
             self.stats.count("errors")
             return 500, {"error": f"{type(error).__name__}: {error}"}, {}
+
+    @property
+    def max_body_bytes(self) -> int:
+        """Largest ``Content-Length`` read off the socket."""
+        return max(1, self.max_request_examples) * BODY_BYTES_PER_EXAMPLE
+
+    def body_length(self, header: Optional[str]) -> Union[int, Reply]:
+        """The body size a ``Content-Length`` header announces, or the
+        400/413 reply to send *instead of reading it* (with
+        ``Connection: close``: the unread body makes the connection
+        unusable).  A negative length would block the read until the
+        client hangs up; an unbounded one would be read in full."""
+        try:
+            length = int(header or 0)
+        except ValueError:
+            length = -1
+        if 0 <= length <= self.max_body_bytes:
+            return length
+        self.stats.count("http_requests")
+        self.stats.count("bad_requests")
+        if length < 0:
+            return 400, {"error": "Content-Length must be a non-negative "
+                                  f"integer, got {header!r}"}, \
+                {"Connection": "close"}
+        return 413, {"error": f"body of {length} bytes exceeds the cap of "
+                              f"{self.max_body_bytes}"}, \
+            {"Connection": "close"}
 
     def _authenticate(self, headers: Mapping[str, str],
                       remote: str) -> Union[str, Reply]:
@@ -633,8 +666,10 @@ class HttpFrontend:
                                       'than one model is registered'}, {}
             model_name = names[0]
         try:
-            images = np.asarray(payload["inputs"], dtype=np.float32)
-        except (TypeError, ValueError):
+            # Literals beyond float32 range become inf, rejected below.
+            with np.errstate(over="ignore"):
+                images = np.asarray(payload["inputs"], dtype=np.float32)
+        except (TypeError, ValueError, OverflowError):
             self.stats.count("bad_requests")
             return 400, {"error": '"inputs" is not a numeric array'}, {}
         if images.ndim == 3:
@@ -649,6 +684,11 @@ class HttpFrontend:
             return 413, {"error": f"request of {len(images)} examples "
                                   "exceeds the per-request cap of "
                                   f"{self.max_request_examples}"}, {}
+        if not np.isfinite(images).all():
+            # NaN/inf rows would be served unflagged, in non-JSON replies.
+            self.stats.count("bad_requests")
+            return 400, {"error": '"inputs" must be finite float32 '
+                                  'values'}, {}
         return str(model_name), images
 
     # ------------------------------------------------------------------ #
@@ -848,14 +888,15 @@ class _Handler(BaseHTTPRequestHandler):
             BaseHTTPRequestHandler.log_message(self, fmt, *args)
 
     def _dispatch(self, method: str) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        body = self.rfile.read(length) if length else b""
-        status, payload, extra = self.server.frontend.handle(
-            method, self.path, body, self.headers,
-            remote=self.client_address[0])
+        frontend = self.server.frontend
+        length = frontend.body_length(self.headers.get("Content-Length"))
+        if isinstance(length, int):
+            body = self.rfile.read(length) if length else b""
+            reply = frontend.handle(method, self.path, body, self.headers,
+                                    remote=self.client_address[0])
+        else:
+            reply = length
+        status, payload, extra = reply
         extra = dict(extra)
         if isinstance(payload, str):
             # Text endpoints (/v1/metrics): the payload is the body.
@@ -863,7 +904,14 @@ class _Handler(BaseHTTPRequestHandler):
             content_type = extra.pop("Content-Type",
                                      "text/plain; charset=utf-8")
         else:
-            data = json.dumps(payload).encode("utf-8")
+            try:
+                data = json.dumps(payload, allow_nan=False).encode("utf-8")
+            except ValueError as error:
+                # Strict JSON or nothing: a NaN in a reply is a bug.
+                frontend.stats.count("errors")
+                status, extra = 500, {}
+                data = json.dumps({"error": f"unserializable reply: "
+                                            f"{error}"}).encode("utf-8")
             content_type = extra.pop("Content-Type", "application/json")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -997,7 +1045,7 @@ class HttpClient:
 
     def request(self, method: str, path: str,
                 payload: Optional[dict] = None) -> HttpResponse:
-        body = json.dumps(payload).encode("utf-8") \
+        body = json.dumps(payload, allow_nan=False).encode("utf-8") \
             if payload is not None else None
         headers = {"Content-Type": "application/json"}
         if self.api_key is not None:

@@ -96,9 +96,9 @@ class ModelRegistry:
         the classifier — plus the discriminator for GanDef checkpoints —
         for serving.  The producing backend recorded in the archive is
         pinned on the entry (falling back to the reference backend when
-        it is not registered here, e.g. a ``cupy`` checkpoint on a
-        CPU-only box); an explicit ``backend`` argument overrides the
-        recorded one (the CLI's ``--backend``).
+        it is not registered here, e.g. an archive naming a backend this
+        version no longer ships); an explicit ``backend`` argument
+        overrides the recorded one (the CLI's ``--backend``).
 
         ``replace`` swaps an existing registration of the same name for
         the freshly-loaded entry (hot checkpoint reload); the old entry

@@ -164,11 +164,9 @@ class TestEarlyStopIsFaster:
         """On a collapsing victim the engine must touch far fewer examples.
 
         Counted via a forward hook rather than wall time so the test is
-        deterministic on loaded CI machines.  Pinned to the eager fast
-        backend: the compiled backend's plan replays never call
-        ``Module.forward``, so forward-hook counting only measures work
-        on an eager path (the early-stop contract itself is
-        backend-independent — the equality tests above run everywhere).
+        deterministic on loaded CI machines.  One backend suffices: the
+        early-stop contract is backend-independent, and the equality
+        tests above run on every backend.
         """
         model, x, y = trained_setup
         counted = {"examples": 0}

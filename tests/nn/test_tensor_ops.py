@@ -150,6 +150,31 @@ class TestBackward:
         assert not out.requires_grad
         assert nn.is_grad_enabled()
 
+    def test_no_grad_is_per_thread(self):
+        # A serving thread's no_grad overlapping the main thread's, and
+        # exiting after it, must not leave the main thread's tape off.
+        import threading
+
+        steps = [threading.Event() for _ in range(3)]
+
+        def worker():
+            steps[0].wait(5)
+            with nn.no_grad():
+                steps[1].set()
+                steps[2].wait(5)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        with nn.no_grad():
+            steps[0].set()
+            assert steps[1].wait(5)
+        x = Tensor([1.0], requires_grad=True)
+        assert (x * 2).requires_grad    # the worker is still in no_grad
+        steps[2].set()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert nn.is_grad_enabled()
+
 
 class TestShapeOps:
     def test_reshape_grad(self):

@@ -8,7 +8,9 @@ served over HTTP are bitwise identical to the direct in-process
 composition is identical by construction).
 """
 
+import http.client
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -422,3 +424,69 @@ def test_predict_flagged_field_pins_gate_verdicts(split):
     assert all(isinstance(row["flagged"], bool) for row in rows)
     assert [row["flagged"] for row in rows] == [True] * 4
     assert server.stats.flagged_examples == 4
+
+
+# --------------------------------------------------------------------- #
+# hostile requests over a real socket
+# --------------------------------------------------------------------- #
+def _strict_json(data):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(data.decode("utf-8"), parse_constant=reject)
+
+
+def _hostile_body(split, value):
+    images = split.test.images[:1].astype(np.float64)
+    images[0, 0, 0, 0] = value
+    return json.dumps({"model": "m", "inputs": images.tolist()}).encode()
+
+
+def _raw_exchange(address, content_length, body, timeout=5.0):
+    """One raw ``POST /v1/predict``; returns the single reply's status,
+    headers and strictly-parsed payload, and asserts the server then
+    closes the connection (no second reply, no wedged handler)."""
+    head = ("POST /v1/predict HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            "Authorization: Bearer s3cret\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n"
+            "Connection: close\r\n\r\n").encode()
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(head + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        data = response.read()
+        assert sock.recv(1) == b""
+    return response.status, dict(response.getheaders()), _strict_json(data)
+
+
+@pytest.mark.parametrize("case", [
+    "nan", "infinity", "float32-overflow", "negative-length",
+    "non-integer-length", "oversized-length"])
+def test_hostile_request_gets_one_strict_json_answer(split, case):
+    httpd, _ = serve_http(split)
+    with httpd:
+        address = httpd.address
+        if case in ("nan", "infinity", "float32-overflow"):
+            value = {"nan": float("nan"), "infinity": float("inf"),
+                     "float32-overflow": 1e39}[case]
+            body = _hostile_body(split, value)
+            length, want = str(len(body)), 400
+        else:
+            body = b""
+            length, want = {
+                "negative-length": ("-1", 400),
+                "non-integer-length": ("12abc", 400),
+                "oversized-length": (
+                    str(httpd.frontend.max_body_bytes + 1), 413),
+            }[case]
+        status, headers, payload = _raw_exchange(address, length, body)
+        assert status == want
+        assert "error" in payload
+        assert httpd.frontend.stats.summary()["bad_requests"] == 1
+        with HttpClient(*address, api_key="s3cret") as client:
+            assert client.health().payload["status"] == "ok"
+            response = client.predict(split.test.images[:2], model="m")
+            assert response.status == 200
+            assert len(response.payload["predictions"]) == 2
+

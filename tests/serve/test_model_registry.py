@@ -1,6 +1,7 @@
 """ModelRegistry: checkpoint round-trips, backend pinning, validation."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from repro.data import load_split
 from repro.experiments.config import get_config
 from repro.experiments.runners import build_trainer
 from repro.models import build_classifier
-from repro.serve import ModelRegistry
-from repro.train import save_checkpoint
+from repro.serve import ModelRegistry, Server
+from repro.train import read_checkpoint_meta, save_checkpoint
+from repro.train.checkpoint import _META_KEY
 
 WIDTH = 4
 
@@ -89,11 +91,39 @@ def test_backend_recorded_in_archive_is_pinned(split, tmp_path):
 
 
 def test_unavailable_recorded_backend_falls_back():
-    assert backend.resolve("cupy-not-installed-here") == "numpy"
+    assert backend.resolve("tpu-not-installed-here") == "numpy"
     assert backend.resolve(None) == "numpy"
     assert backend.resolve("fast") == "fast"
     with pytest.raises(KeyError):
         backend.resolve("nope", fallback="also-nope")
+
+
+def test_archive_from_removed_compiled_backend_serves_on_fallback(
+        split, tmp_path):
+    """Archives written while a ``compiled`` backend shipped record it as
+    their producer.  They still load, pinned to the fallback backend, and
+    serve the labels their weights give."""
+    path = tmp_path / "checkpoint.npz"
+    trainer = train_checkpoint("vanilla", split, path, backend_name="fast")
+    with np.load(path) as archive:
+        arrays = {key: np.array(archive[key]) for key in archive.files}
+    meta = json.loads(bytes(arrays[_META_KEY]).decode("utf-8"))
+    meta["backend"] = "compiled"
+    arrays[_META_KEY] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                      dtype=np.uint8)
+    np.savez(path, **arrays)
+    assert read_checkpoint_meta(path)["backend"] == "compiled"
+
+    registry = ModelRegistry()
+    entry = registry.load("victim", path, dataset="digits", width=WIDTH)
+    assert entry.backend == backend.resolve("compiled") == "numpy"
+    x = split.test.images[:8]
+    server = Server(registry, max_batch=8, gate="none")
+    handle = server.submit("victim", x)
+    assert server.drain() == 1
+    with nn.inference_mode(trainer.model), nn.no_grad():
+        want = trainer.model(nn.Tensor(x)).data.argmax(axis=1)
+    assert handle.labels.tolist() == want.tolist()
 
 
 def test_explicit_unknown_backend_is_an_error(split, tmp_path):
@@ -103,7 +133,7 @@ def test_explicit_unknown_backend_is_an_error(split, tmp_path):
     train_checkpoint("vanilla", split, path)
     with pytest.raises(KeyError, match="unknown backend"):
         ModelRegistry().load("victim", path, dataset="digits",
-                             width=WIDTH, backend="cupy-missing")
+                             width=WIDTH, backend="tpu-missing")
     with pytest.raises(KeyError, match="unknown backend"):
         ModelRegistry().add("m", build_classifier("digits", width=WIDTH,
                                                   seed=0),
